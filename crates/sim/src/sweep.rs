@@ -13,7 +13,8 @@
 //!   serially ([`Sweep::run`]) or sharded across `std::thread::scope`
 //!   workers ([`Sweep::run_parallel`]) — with **bit-identical** results,
 //!   because every cell is an isolated simulation and the alone-IPC
-//!   cache is pre-populated before the parallel phase;
+//!   cache is warmed (on the same workers, each profile exactly once)
+//!   before the cells start;
 //! * a [`SweepResult`] holds the full result grid plus aggregate
 //!   metrics and a [`SweepStats`] throughput record (cells simulated,
 //!   sim-cycles/sec, worker count).
@@ -47,11 +48,11 @@ use crate::metrics::{workload_metrics, IpcPair, WorkloadMetrics};
 use crate::multi::MultiSystem;
 use crate::runner::{workload_seed, EvalResult, PolicyKind, RunConfig};
 use crate::system::{RunResult, System};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tcm_sched::FrFcfs;
 use tcm_telemetry::Telemetry;
@@ -85,14 +86,21 @@ impl ProfileFingerprint {
     }
 }
 
+/// One once-cell per profile: empty until its alone run finishes.
+type IpcCells = HashMap<ProfileFingerprint, Arc<OnceLock<f64>>>;
+
 /// Thread-safe cache of alone-run IPCs with hit/miss accounting.
 ///
 /// Lives inside a [`Session`]; exposed for its counters, which make
-/// cache behavior observable (and testable): a repeated profile must
-/// miss exactly once and hit on every later lookup.
+/// cache behavior observable (and testable). Every profile is simulated
+/// **exactly once** per session, even when several threads ask for it
+/// at the same moment: each fingerprint owns a once-cell, the first
+/// thread to reach it runs the alone simulation, and the others wait
+/// for that value. So a repeated profile misses exactly once — in the
+/// thread that ran the simulation — and hits on every other lookup.
 #[derive(Debug, Default)]
 pub struct AloneIpcCache {
-    map: Mutex<HashMap<ProfileFingerprint, f64>>,
+    map: Mutex<IpcCells>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -100,7 +108,10 @@ pub struct AloneIpcCache {
 impl AloneIpcCache {
     /// Number of cached alone-run IPCs.
     pub fn len(&self) -> usize {
-        self.map.lock().expect("alone cache poisoned").len()
+        self.lock()
+            .values()
+            .filter(|ipc| ipc.get().is_some())
+            .count()
     }
 
     /// Whether nothing has been cached yet.
@@ -118,19 +129,47 @@ impl AloneIpcCache {
         self.misses.load(Ordering::Relaxed)
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, IpcCells> {
+        self.map.lock().expect("alone cache poisoned")
+    }
+
     fn get_or_compute(&self, profile: &BenchmarkProfile, rc: &RunConfig) -> f64 {
-        let key = ProfileFingerprint::of(profile);
-        if let Some(&ipc) = self.map.lock().expect("alone cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return ipc;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let ipc = compute_alone_ipc(profile, rc);
-        self.map
-            .lock()
-            .expect("alone cache poisoned")
-            .insert(key, ipc);
+        let cell = Arc::clone(
+            self.lock()
+                .entry(ProfileFingerprint::of(profile))
+                .or_default(),
+        );
+        // The simulation runs outside the map lock: other profiles stay
+        // available while this one is computed.
+        let mut computed = false;
+        let ipc = *cell.get_or_init(|| {
+            computed = true;
+            compute_alone_ipc(profile, rc)
+        });
+        let counter = if computed { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
         ipc
+    }
+
+    /// The distinct profiles of `profiles` that are not cached yet, in
+    /// first-seen order. Every other lookup (a cached profile or a
+    /// repeat) counts as a hit, as it would in a serial lookup loop.
+    fn uncached<'p>(
+        &self,
+        profiles: impl IntoIterator<Item = &'p BenchmarkProfile>,
+    ) -> Vec<&'p BenchmarkProfile> {
+        let map = self.lock();
+        let mut seen = HashSet::new();
+        let mut pending = Vec::new();
+        for profile in profiles {
+            let key = ProfileFingerprint::of(profile);
+            if map.get(&key).is_some_and(|ipc| ipc.get().is_some()) || !seen.insert(key) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            } else {
+                pending.push(profile);
+            }
+        }
+        pending
     }
 }
 
@@ -153,9 +192,9 @@ pub(crate) fn compute_alone_ipc(profile: &BenchmarkProfile, rc: &RunConfig) -> f
             .controllers()
             .map(|_| Box::new(FrFcfs::new()) as _)
             .collect();
-        let mut sys = MultiSystem::new(&cfg, &workload, controllers, None, 0);
-        sys.set_hosts(rc.intra_hosts);
-        sys.run(rc.horizon).ipc[0]
+        MultiSystem::new(&cfg, &workload, controllers, None, 0)
+            .run(rc.horizon)
+            .ipc[0]
     } else {
         let mut sys = System::new(&cfg, &workload, Box::new(FrFcfs::new()), 0);
         sys.run(rc.horizon).ipc[0]
@@ -661,18 +700,52 @@ impl Session {
         result
     }
 
-    /// Warms the alone-IPC cache for every profile in `workloads`.
+    /// Warms the alone-IPC cache for every profile in `workloads`, on
+    /// up to `std::thread::available_parallelism()` threads.
     ///
-    /// Called automatically before a sweep's parallel phase so workers
-    /// only ever *read* alone IPCs, which keeps parallel results
-    /// bit-identical to serial ones and each unique profile simulated
-    /// exactly once.
+    /// Every sweep runs the same warm-up before its cells, on its own
+    /// worker count, so the cells only ever *read* alone IPCs. Each
+    /// distinct uncached profile is
+    /// simulated exactly once, and the counters end as a serial lookup
+    /// loop leaves them: one miss per distinct uncached profile, a hit
+    /// for every other profile. An alone run is a pure function of the
+    /// machine, the horizon and the profile, so the IPCs are
+    /// bit-identical whichever thread computes them.
     pub fn prepopulate_alone<'w>(&self, workloads: impl IntoIterator<Item = &'w WorkloadSpec>) {
-        for workload in workloads {
-            for profile in &workload.threads {
-                let _ = self.alone_ipc(profile);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.warm_alone(workloads, threads);
+    }
+
+    /// [`Session::prepopulate_alone`] on at most `threads` threads, the
+    /// calling thread included, so one thread (or one uncached profile)
+    /// spawns nothing. The distinct uncached profiles are claimed one at
+    /// a time from a shared index, because their cost ranges from
+    /// nothing (compute-only) to a full memory-bound run.
+    fn warm_alone<'w>(
+        &self,
+        workloads: impl IntoIterator<Item = &'w WorkloadSpec>,
+        threads: usize,
+    ) {
+        let pending = self
+            .cache
+            .uncached(workloads.into_iter().flat_map(|w| &w.threads));
+        let threads = threads.min(pending.len());
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            while let Some(profile) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                self.alone_ipc(profile);
             }
-        }
+        };
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads).map(|_| scope.spawn(claim)).collect();
+            claim();
+            for helper in helpers {
+                // Re-raise an alone run's panic with its own message.
+                if let Err(payload) = helper.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
     }
 
     /// Cumulative execution statistics for this session.
@@ -839,22 +912,29 @@ impl Sweep<'_> {
         self
     }
 
-    /// Executes every cell serially on the calling thread.
+    /// Executes every cell serially on the calling thread; the alone-IPC
+    /// warm-up runs there too, one profile after another.
     pub fn run(self) -> SweepResult {
         self.execute(1)
     }
 
     /// Executes the grid sharded across `workers` scoped threads.
     ///
+    /// The alone-IPC warm-up that precedes the cells uses the same
+    /// `workers` threads, one alone run per distinct uncached profile
+    /// (see [`Session::prepopulate_alone`]).
+    ///
     /// Results are **bit-identical** to [`Sweep::run`]: each cell is an
-    /// isolated deterministic simulation, and the session's alone-IPC
-    /// cache is pre-populated serially before the parallel phase.
+    /// isolated deterministic simulation, each alone IPC is a pure
+    /// function of its profile, and the session's alone-IPC cache is
+    /// fully warm before the first cell starts.
     pub fn run_parallel(self, workers: usize) -> SweepResult {
         self.execute(workers.max(1))
     }
 
     /// Executes with a worker per available core (at least two, so
-    /// sharding stays exercised even on single-core CI machines).
+    /// sharding stays exercised even on single-core CI machines), for
+    /// the alone-IPC warm-up and the cells alike.
     pub fn run_auto(self) -> SweepResult {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -870,7 +950,7 @@ impl Sweep<'_> {
         );
         let t0 = Instant::now();
         let alone_before = self.session.alone_cache().misses();
-        self.session.prepopulate_alone(&self.workloads);
+        self.session.warm_alone(&self.workloads, workers);
 
         let (np, nw, ns) = (self.policies.len(), self.workloads.len(), self.seeds.len());
         let total = np * nw * ns;
@@ -1344,7 +1424,7 @@ fn average<'r>(results: impl Iterator<Item = &'r EvalResult>) -> WorkloadMetrics
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use tcm_types::SystemConfig;
+    use tcm_types::{SystemConfig, Topology};
     use tcm_workload::random_workload;
 
     fn small_session() -> Session {
@@ -1385,6 +1465,85 @@ mod tests {
         }
         assert_eq!(session.alone_cache().misses(), 1, "exactly one miss");
         assert_eq!(session.alone_cache().hits(), 3);
+    }
+
+    #[test]
+    fn concurrent_first_lookups_simulate_once() {
+        let session = small_session();
+        let p = tcm_workload::spec_by_name("mcf").unwrap();
+        let barrier = std::sync::Barrier::new(2);
+        let ipcs: Vec<u64> = std::thread::scope(|scope| {
+            let lookups: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        session.alone_ipc(&p).to_bits()
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(session.alone_cache().misses(), 1, "simulated exactly once");
+        assert_eq!(session.alone_cache().hits(), 1);
+        assert_eq!(ipcs[0], ipcs[1]);
+    }
+
+    #[test]
+    fn parallel_warm_up_matches_serial_lookups() {
+        for topology in ["4", "2x2"] {
+            let session = || {
+                let system = SystemConfig::builder()
+                    .num_threads(4)
+                    .topology(Topology::parse(topology).unwrap())
+                    .build()
+                    .unwrap();
+                Session::new(
+                    RunConfig::builder()
+                        .system(system)
+                        .horizon(30_000)
+                        .intra_hosts(2)
+                        .build(),
+                )
+            };
+            let mut workloads: Vec<_> = (0..3).map(|s| random_workload(s, 4, 0.75)).collect();
+            // Every profile of the first mix again, so repeats must hit.
+            let repeat = workloads[0].threads.iter().rev().cloned().collect();
+            workloads.push(WorkloadSpec::new("repeat", repeat));
+            let counters = |s: &Session| (s.alone_cache().hits(), s.alone_cache().misses());
+
+            let warmed = session();
+            warmed.prepopulate_alone(&workloads);
+            let serial = session();
+            for profile in workloads.iter().flat_map(|w| &w.threads) {
+                serial.alone_ipc(profile);
+            }
+            assert_eq!(counters(&warmed), counters(&serial), "topology {topology}");
+            assert!(serial.alone_cache().hits() >= 4, "repeats counted as hits");
+            assert_eq!(warmed.alone_cache().len(), serial.alone_cache().len());
+            for profile in workloads.iter().flat_map(|w| &w.threads) {
+                assert_eq!(
+                    warmed.alone_ipc(profile).to_bits(),
+                    serial.alone_ipc(profile).to_bits(),
+                    "topology {topology}, {}",
+                    profile.name
+                );
+            }
+
+            let grid = |workers| {
+                let s = session();
+                let result = s
+                    .sweep()
+                    .policies([PolicyKind::FrFcfs, PolicyKind::Fcfs])
+                    .workloads(workloads.clone())
+                    .run_parallel(workers);
+                (result, counters(&s))
+            };
+            let (one, one_counters) = grid(1);
+            let (three, three_counters) = grid(3);
+            assert_eq!(one.cells(), three.cells(), "topology {topology}");
+            assert_eq!(one_counters, three_counters, "topology {topology}");
+            assert_eq!(one.stats().alone_runs, serial.alone_cache().misses());
+        }
     }
 
     #[test]

@@ -13,6 +13,11 @@ cargo build --release --offline
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q --offline
 
+# The benchmark is a crate of its own, outside the workspace: run its
+# unit tests too, so the harness behind the perf gates stays correct.
+echo "==> cargo test (benchmark harness, perfbench/)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
