@@ -29,7 +29,7 @@ fn bench_channel_issue(c: &mut Criterion) {
             );
             id += 1;
             ch.enqueue(req).expect("buffer never fills at rate 1");
-            let outcome = ch.issue_at((req.addr.bank.index()) as usize, 0, now, &timing);
+            let outcome = ch.issue_at(req.addr.bank.index(), 0, now, &timing);
             now = outcome.bank_free.max(now + 1);
             black_box(outcome.completes_at)
         })

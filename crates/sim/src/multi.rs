@@ -40,10 +40,10 @@
 //! [`ClusterPlan`]: tcm_sched::ClusterPlan
 //! [`Topology`]: tcm_types::Topology
 
-use crate::event::{Event, EventQueue};
+use crate::event::{Event, EventQueue, TimedQueue};
 use crate::system::{RunResult, DEFAULT_STALL_LIMIT};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use tcm_chaos::{FaultKind, FaultPlan, FaultSpec};
 use tcm_cpu::{Core, CoreStatus};
 use tcm_dram::Channel;
@@ -94,144 +94,9 @@ enum ShardMsg {
     },
 }
 
-/// Wrapper giving `ShardMsg` a total order for heap membership (never
-/// actually compared: the `(cycle, seq)` prefix is unique).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MsgEntry(ShardMsg);
-
-impl PartialOrd for MsgEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for MsgEntry {
-    fn cmp(&self, _other: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
-/// Which structure currently holds a shard's earliest message.
-#[derive(Debug, Clone, Copy)]
-enum MsgSource {
-    Heap,
-    Inbox,
-    BankReady(usize),
-}
-
-/// Shard-local time-ordered queue; same-cycle messages pop in insertion
-/// order, mirroring [`EventQueue`] — including its lane structure:
-///
-/// * coordinator-routed messages (arrivals and completions) enter in
-///   coordinator processing order, so their cycles are nondecreasing —
-///   one `VecDeque` lane;
-/// * `BankReady` cycles are `bus_end`, strictly increasing per channel
-///   (see `DataBus::reserve`) — one lane per local channel;
-/// * anything out of order (a chaos flood stamping phantoms ahead of
-///   in-flight core events) falls back to the small heap.
-///
-/// A global sequence number stamps every push, and pops take the
-/// minimum `(cycle, seq)` across all sources, reproducing the pure-heap
-/// pop order bit for bit.
-#[derive(Debug, Default)]
-struct MsgQueue {
-    heap: BinaryHeap<Reverse<(Cycle, u64, MsgEntry)>>,
-    /// Coordinator-routed lane: nondecreasing cycles by construction.
-    inbox: VecDeque<(Cycle, u64, ShardMsg)>,
-    /// Per-local-channel bank-ready lane: nondecreasing by construction.
-    bank_ready: Vec<VecDeque<(Cycle, u64, BankId)>>,
-    len: usize,
-    seq: u64,
-}
-
-impl MsgQueue {
-    #[cold]
-    fn grow_lanes(&mut self, channel: usize) {
-        self.bank_ready.resize_with(channel + 1, VecDeque::new);
-    }
-
-    fn push(&mut self, cycle: Cycle, msg: ShardMsg) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
-        match msg {
-            ShardMsg::BankReady { channel, bank } => {
-                if channel >= self.bank_ready.len() {
-                    self.grow_lanes(channel);
-                }
-                let lane = &mut self.bank_ready[channel];
-                if lane.back().is_none_or(|&(last, _, _)| cycle >= last) {
-                    lane.push_back((cycle, seq, bank));
-                    return;
-                }
-            }
-            ShardMsg::Arrival(_) | ShardMsg::Completed(_) => {
-                if self.inbox.back().is_none_or(|&(last, _, _)| cycle >= last) {
-                    self.inbox.push_back((cycle, seq, msg));
-                    return;
-                }
-            }
-        }
-        self.heap.push(Reverse((cycle, seq, MsgEntry(msg))));
-    }
-
-    /// `(cycle, seq)` of the earliest pending message and where it lives.
-    fn min_source(&self) -> Option<(Cycle, u64, MsgSource)> {
-        let mut best = self
-            .heap
-            .peek()
-            .map(|Reverse((c, s, _))| (*c, *s, MsgSource::Heap));
-        if let Some(&(c, s, _)) = self.inbox.front() {
-            if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
-                best = Some((c, s, MsgSource::Inbox));
-            }
-        }
-        for (i, lane) in self.bank_ready.iter().enumerate() {
-            if let Some(&(c, s, _)) = lane.front() {
-                if best.is_none_or(|(bc, bs, _)| (c, s) < (bc, bs)) {
-                    best = Some((c, s, MsgSource::BankReady(i)));
-                }
-            }
-        }
-        best
-    }
-
-    /// Removes and returns the earliest message if it is scheduled
-    /// strictly before `bound` — the peek and the pop in one scan.
-    fn pop_before(&mut self, bound: Cycle) -> Option<(Cycle, ShardMsg)> {
-        let (cycle, _, source) = self.min_source()?;
-        if cycle >= bound {
-            return None;
-        }
-        self.len -= 1;
-        Some(match source {
-            MsgSource::Heap => {
-                let Reverse((c, _, m)) = self.heap.pop().expect("heap source vanished");
-                (c, m.0)
-            }
-            MsgSource::Inbox => {
-                let (c, _, msg) = self.inbox.pop_front().expect("lane source vanished");
-                (c, msg)
-            }
-            MsgSource::BankReady(i) => {
-                let (c, _, bank) = self.bank_ready[i].pop_front().expect("lane source vanished");
-                (c, ShardMsg::BankReady { channel: i, bank })
-            }
-        })
-    }
-
-    fn peek_cycle(&self) -> Option<Cycle> {
-        self.min_source().map(|(c, _, _)| c)
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
+/// Shard-local time-ordered queue: the same timing wheel as
+/// [`EventQueue`], so same-cycle messages pop in insertion order.
+type MsgQueue = TimedQueue<ShardMsg>;
 
 /// One memory controller's share of the machine: channels, policy
 /// instance, spill queues, and the local event stream. Owns everything
@@ -274,7 +139,7 @@ impl Shard {
         }
         self.inbox = inbox; // hand the capacity back
         while self.pending_error.is_none() {
-            let Some((cycle, msg)) = self.events.pop_before(bound) else {
+            let Some((cycle, msg)) = self.events.pop_at_or_before(bound - 1) else {
                 break;
             };
             self.now = cycle;

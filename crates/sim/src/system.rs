@@ -781,7 +781,7 @@ impl System {
 
     /// Test hook: routes all future event pushes through the reference
     /// binary-heap path (see `EventQueue::set_reference_mode`), so
-    /// equivalence tests can prove the lane fast path is bit-identical.
+    /// equivalence tests can prove the timing wheel is bit-identical.
     #[doc(hidden)]
     pub fn set_reference_event_order(&mut self, on: bool) {
         self.events.set_reference_mode(on);

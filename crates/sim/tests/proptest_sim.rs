@@ -3,8 +3,9 @@
 //! random workloads.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use tcm_sim::{workload_metrics, Event, EventQueue, IpcPair, MultiSystem, PolicyKind, System};
-use tcm_types::{SystemConfig, Topology};
+use tcm_types::{SystemConfig, ThreadId, Topology};
 use tcm_workload::{BenchmarkProfile, WorkloadSpec};
 
 /// The full policy lineup used by the whole-system properties.
@@ -30,6 +31,46 @@ fn workload_from(profiles: &[(f64, f64, f64)]) -> WorkloadSpec {
     WorkloadSpec::new("prop", threads)
 }
 
+/// One step of the interleaved event-queue model test. Offsets are
+/// relative to `base`, the latest cycle popped so far.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// Push at `base + ahead`.
+    PushAhead(u64),
+    /// Push `back` cycles behind `base` (saturating at cycle 0).
+    PushBehind(u64),
+    Pop,
+    /// `pop_at_or_before(base + offset - 512)`, saturating at cycle 0.
+    PopBounded(u64),
+    Peek,
+}
+
+/// Pushes hit the wheel's edges (the last popped cycle itself,
+/// `base + 1023`, `base + 1024`), land behind it or 10M cycles ahead,
+/// and span thousands of cycles so the 1024-slot ring wraps many times.
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    (0u32..19, 0u64..3_000).prop_map(|(kind, n)| match kind {
+        0..=5 => QueueOp::PushAhead(n),
+        6 => QueueOp::PushAhead(0),
+        7 => QueueOp::PushAhead(1_023),
+        8 => QueueOp::PushAhead(1_024),
+        9 => QueueOp::PushAhead(10_000_000),
+        10 => QueueOp::PushBehind(1 + n % 2_000),
+        11..=15 => QueueOp::Pop,
+        16 | 17 => QueueOp::PopBounded(n),
+        _ => QueueOp::Peek,
+    })
+}
+
+/// A popped event as `(cycle, push index)`; the model test stamps the
+/// push index into the burst epoch.
+fn popped(entry: Option<(u64, Event)>) -> Option<(u64, u64)> {
+    entry.map(|(cycle, event)| match event {
+        Event::CoreBurst { epoch, .. } => (cycle, epoch),
+        other => panic!("unexpected event {other:?}"),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -49,6 +90,54 @@ proptest! {
         }
         let expected: Vec<u64> = reference.into_iter().map(|(c, _)| c).collect();
         prop_assert_eq!(popped, expected);
+    }
+
+    /// Random interleavings of push, pop, bounded pop and peek match a
+    /// sorted `(cycle, push index)` reference, including pushes behind
+    /// the last pop and at the edges of the wheel's window.
+    #[test]
+    fn event_queue_matches_reference_under_interleaving(
+        ops in proptest::collection::vec(queue_op(), 1..600),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let mut base = 0u64;
+        let mut pushed = 0u64;
+        let mut push = |q: &mut EventQueue, reference: &mut BTreeSet<_>, cycle: u64| {
+            q.push(cycle, Event::CoreBurst { thread: ThreadId::new(0), epoch: pushed });
+            reference.insert((cycle, pushed));
+            pushed += 1;
+        };
+        for op in ops {
+            let (got, expected) = match op {
+                QueueOp::PushAhead(ahead) => {
+                    push(&mut q, &mut reference, base + ahead);
+                    (None, None)
+                }
+                QueueOp::PushBehind(back) => {
+                    push(&mut q, &mut reference, base.saturating_sub(back));
+                    (None, None)
+                }
+                QueueOp::Pop => (popped(q.pop()), reference.pop_first()),
+                QueueOp::PopBounded(offset) => {
+                    let bound = (base + offset).saturating_sub(512);
+                    let due = reference.first().is_some_and(|&(c, _)| c <= bound);
+                    let expected = if due { reference.pop_first() } else { None };
+                    (popped(q.pop_at_or_before(bound)), expected)
+                }
+                QueueOp::Peek => {
+                    prop_assert_eq!(q.peek_cycle(), reference.first().map(|&(c, _)| c));
+                    (None, None)
+                }
+            };
+            prop_assert_eq!(got, expected);
+            if let Some((cycle, _)) = got {
+                base = base.max(cycle);
+            }
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        let rest: Vec<(u64, u64)> = std::iter::from_fn(|| popped(q.pop())).collect();
+        prop_assert_eq!(rest, reference.into_iter().collect::<Vec<_>>());
     }
 
     /// Metric identities hold for arbitrary IPC pairs: WS <= N,
@@ -101,7 +190,7 @@ proptest! {
     }
 
     /// Skip-ahead stepping is bit-identical to the per-event reference
-    /// path: the lane-based event queue plus strided probe checks must
+    /// path: the timing-wheel event queue plus strided probe checks must
     /// produce exactly the same `RunResult` (every counter, every float
     /// bit) as the plain binary-heap ordering on random workloads under
     /// every policy. This is the property the SoA/skip-ahead hot path is

@@ -21,6 +21,11 @@ cargo test --offline -q --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy -D warnings (all targets)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# `--all-targets` skips the Criterion benches, which need the opt-in
+# `bench-harness` feature: lint them with the feature on.
+echo "==> cargo clippy -D warnings (feature-gated benches)"
+cargo clippy -p tcm-bench --benches --features bench-harness --offline -- -D warnings
+
 # Debug builds always run the DRAM protocol checker; this release-mode
 # pass force-enables it via TCM_VERIFY so the optimized build is also
 # checked (the checker is observation-only, results are bit-identical).
