@@ -30,6 +30,11 @@
 //! core.schedule_burst(300, 1); // one miss, 300 instructions from now
 //! // 300 instructions at 3 IPC take 100 cycles:
 //! assert_eq!(core.poll(0), CoreStatus::WillBurst { at: 100 });
+//! assert_eq!(core.poll(100), CoreStatus::WillBurst { at: 100 });
+//! // The burst's misses take consecutive ids from the one given.
+//! core.issue_burst(RequestId::new(0));
+//! core.complete(RequestId::new(0));
+//! assert_eq!(core.outstanding(), 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -59,6 +64,25 @@ pub enum CoreStatus {
     ComputeOnly,
 }
 
+/// The most misses one burst may carry: a live burst tracks its
+/// outstanding misses in one `u64` bitmask. A burst's misses go to
+/// distinct banks, so the limit is far above any burst a real machine
+/// shape produces (the paper's machine has 16 banks).
+pub const MAX_BURST_SIZE: usize = 64;
+
+/// One issued miss burst with at least one miss still outstanding (or a
+/// drained burst behind a live front, see [`Core::complete`]).
+#[derive(Debug, Clone, Copy)]
+struct LiveBurst {
+    /// Instruction index at which the burst issued.
+    instr: u64,
+    /// Raw id of the burst's first miss; the burst owns ids
+    /// `first..first + size`.
+    first: u64,
+    /// Bit `i` is set while miss `first + i` is outstanding.
+    live: u64,
+}
+
 /// One simulated core running one thread.
 ///
 /// Lazy/event-driven: internal progress is only materialized on
@@ -72,15 +96,16 @@ pub struct Core {
     /// Instructions executed as of `anchor_cycle`.
     anchor_instr: u64,
     anchor_cycle: Cycle,
-    /// Outstanding misses: `(request id, instruction index at issue)`.
-    outstanding: Vec<(RequestId, u64)>,
-    /// Outstanding misses grouped by issuing burst, oldest first:
-    /// `(instruction index, live miss count)`. Bursts issue at strictly
-    /// increasing instruction indices (`schedule_burst` requires a
-    /// positive gap), so this deque is always sorted by instruction index
-    /// and the window limit is the front entry alone — O(1) instead of a
-    /// scan over the whole MSHR pool on every poll.
-    bursts: VecDeque<(u64, usize)>,
+    /// Issued bursts with outstanding misses, oldest first. Bursts issue
+    /// at strictly increasing instruction indices (`schedule_burst`
+    /// requires a positive gap) and with strictly increasing id ranges
+    /// (`issue_burst` requires it), so the deque is sorted by both: the
+    /// window limit is the front entry alone, and a completion finds its
+    /// burst by binary search on the first id.
+    bursts: VecDeque<LiveBurst>,
+    /// The lowest id the next burst may start at: one past the last
+    /// issued burst's id range.
+    id_floor: u64,
     /// Next burst: `(absolute instruction index, number of accesses)`.
     next_burst: Option<(u64, usize)>,
     /// Instruction index of the most recently issued burst.
@@ -107,8 +132,8 @@ impl Core {
             mshrs,
             anchor_instr: 0,
             anchor_cycle: 0,
-            outstanding: Vec::new(),
             bursts: VecDeque::new(),
+            id_floor: 0,
             next_burst: None,
             last_burst_instr: 0,
             misses_issued: 0,
@@ -143,7 +168,7 @@ impl Core {
     /// Number of currently outstanding misses.
     #[inline]
     pub fn outstanding(&self) -> usize {
-        self.outstanding.len()
+        (self.misses_issued - self.misses_completed) as usize
     }
 
     /// Schedules the next miss burst: `size` concurrent misses, `gap`
@@ -152,9 +177,9 @@ impl Core {
     ///
     /// # Panics
     ///
-    /// Panics if a burst is already scheduled, if `gap` is zero, or if
-    /// `size` is zero or exceeds the MSHR count (such a burst could never
-    /// issue).
+    /// Panics if a burst is already scheduled, if `gap` is zero, if
+    /// `size` is zero, if it exceeds the MSHR count (such a burst could
+    /// never issue), or if it exceeds [`MAX_BURST_SIZE`].
     pub fn schedule_burst(&mut self, gap: u64, size: usize) {
         assert!(self.next_burst.is_none(), "burst already scheduled");
         assert!(gap > 0, "burst gap must be positive");
@@ -162,6 +187,10 @@ impl Core {
         assert!(
             size <= self.mshrs,
             "burst larger than MSHR pool can never issue"
+        );
+        assert!(
+            size <= MAX_BURST_SIZE,
+            "burst larger than MAX_BURST_SIZE misses"
         );
         self.next_burst = Some((self.last_burst_instr + gap, size));
     }
@@ -174,7 +203,7 @@ impl Core {
     fn window_limit(&self) -> u64 {
         self.bursts
             .front()
-            .map_or(u64::MAX, |&(instr, _)| instr.saturating_add(self.window))
+            .map_or(u64::MAX, |b| b.instr.saturating_add(self.window))
     }
 
     /// Advances execution to `now` and reports the core's status.
@@ -205,8 +234,9 @@ impl Core {
             // At the burst instruction: can the misses actually enter the
             // machine? The burst instruction must fit in the window and
             // the MSHR pool must have room.
-            let window_ok = at < window_limit || self.outstanding.is_empty();
-            let mshr_ok = self.outstanding.len() + size <= self.mshrs;
+            let outstanding = self.outstanding();
+            let window_ok = at < window_limit || outstanding == 0;
+            let mshr_ok = outstanding + size <= self.mshrs;
             if window_ok && mshr_ok {
                 CoreStatus::WillBurst { at: now }
             } else {
@@ -223,34 +253,50 @@ impl Core {
         }
     }
 
-    /// Injects the scheduled burst at the current cycle, registering one
-    /// outstanding miss per id in `ids`.
+    /// Injects the scheduled burst at the current cycle. Its misses take
+    /// the consecutive request ids `first..first + size`, one per access
+    /// of the scheduled burst; each becomes outstanding until
+    /// [`Core::complete`] reports it.
+    ///
+    /// Id ranges must increase from burst to burst: `first` must be past
+    /// every id of this core's earlier bursts. An engine that draws all
+    /// request ids from one counter, a burst's ids consecutively, meets
+    /// this for every core.
     ///
     /// Must only be called when [`Core::poll`] returned
     /// `WillBurst { at: now }` for the current cycle.
     ///
     /// # Panics
     ///
-    /// Panics if no burst is scheduled, if `ids.len()` differs from the
-    /// scheduled burst size, if the core has not reached the burst
-    /// instruction, or if the MSHR pool would overflow.
-    pub fn issue_burst(&mut self, ids: &[RequestId]) {
+    /// Panics if no burst is scheduled, if `first` overlaps or precedes
+    /// an earlier burst's ids, if the id range overflows `u64`, if the
+    /// core has not reached the burst instruction, or if the MSHR pool
+    /// would overflow.
+    pub fn issue_burst(&mut self, first: RequestId) {
         let (at, size) = self.next_burst.expect("no burst scheduled");
-        assert_eq!(ids.len(), size, "id count must match burst size");
+        let first = first.raw();
+        assert!(
+            first >= self.id_floor,
+            "burst ids must follow the previous burst's ids"
+        );
         assert!(
             self.anchor_instr >= at,
             "burst issued before the core reached it"
         );
         assert!(
-            self.outstanding.len() + size <= self.mshrs,
+            self.outstanding() + size <= self.mshrs,
             "burst issued past MSHR capacity"
         );
-        for &id in ids {
-            self.outstanding.push((id, at));
-        }
-        // `at > last_burst_instr` (positive gap), so the deque stays
-        // sorted by pushing at the back.
-        self.bursts.push_back((at, size));
+        self.id_floor = first
+            .checked_add(size as u64)
+            .expect("burst id range overflows u64");
+        // `at > last_burst_instr` (positive gap) and `first` is past the
+        // previous range, so pushing at the back keeps both orders.
+        self.bursts.push_back(LiveBurst {
+            instr: at,
+            first,
+            live: u64::MAX >> (MAX_BURST_SIZE - size),
+        });
         self.misses_issued += size as u64;
         self.last_burst_instr = at;
         self.next_burst = None;
@@ -263,24 +309,27 @@ impl Core {
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not outstanding.
+    /// Panics if `id` is not outstanding (never issued by this core, or
+    /// already completed).
     pub fn complete(&mut self, id: RequestId) {
-        let idx = self
-            .outstanding
-            .iter()
-            .position(|&(rid, _)| rid == id)
-            .expect("completion for unknown request");
-        let (_, instr) = self.outstanding.swap_remove(idx);
-        let burst = self
+        let id = id.raw();
+        // The last burst starting at or below `id` is the only one whose
+        // range can hold it.
+        let (i, bit) = self
             .bursts
-            .iter()
-            .position(|&(at, _)| at == instr)
-            .expect("outstanding miss without a live burst entry");
-        self.bursts[burst].1 -= 1;
+            .partition_point(|b| b.first <= id)
+            .checked_sub(1)
+            .and_then(|i| {
+                let offset = id - self.bursts[i].first;
+                (offset < MAX_BURST_SIZE as u64).then(|| (i, 1u64 << offset))
+            })
+            .filter(|&(i, bit)| self.bursts[i].live & bit != 0)
+            .expect("completion for unknown request");
+        self.bursts[i].live &= !bit;
         // Drained middle entries are harmless (the front is always the
         // minimum), but a drained front must go so `window_limit` sees
         // the next live burst.
-        while self.bursts.front().is_some_and(|&(_, count)| count == 0) {
+        while self.bursts.front().is_some_and(|b| b.live == 0) {
             self.bursts.pop_front();
         }
         self.misses_completed += 1;
@@ -322,7 +371,7 @@ mod tests {
         // ceil(299/3) = 100.
         assert_eq!(c.poll(0), CoreStatus::WillBurst { at: 100 });
         assert_eq!(c.poll(100), CoreStatus::WillBurst { at: 100 });
-        c.issue_burst(&[rid(0), rid(1)]);
+        c.issue_burst(rid(0));
         assert_eq!(c.retired(), 299);
         assert_eq!(c.outstanding(), 2);
     }
@@ -333,7 +382,7 @@ mod tests {
         c.schedule_burst(1, 1);
         assert_eq!(c.poll(0), CoreStatus::WillBurst { at: 1 });
         c.poll(1);
-        c.issue_burst(&[rid(0)]);
+        c.issue_burst(rid(0));
         // Next burst far away: the window (8) fills first.
         c.schedule_burst(100, 1);
         assert_eq!(c.poll(1), CoreStatus::Blocked);
@@ -351,7 +400,7 @@ mod tests {
         let mut c = Core::new(ThreadId::new(0), 1, 1024, 2);
         c.schedule_burst(1, 2);
         c.poll(1);
-        c.issue_burst(&[rid(0), rid(1)]);
+        c.issue_burst(rid(0));
         c.schedule_burst(1, 1);
         // Window is huge, but both MSHRs are taken.
         assert_eq!(c.poll(2), CoreStatus::Blocked);
@@ -367,7 +416,7 @@ mod tests {
         c.schedule_burst(10, 1);
         assert_eq!(c.poll(0), CoreStatus::WillBurst { at: 10 });
         c.poll(10);
-        c.issue_burst(&[rid(7)]);
+        c.issue_burst(rid(7));
         c.schedule_burst(100, 1);
         c.poll(200); // memory takes 190 cycles, say
         assert_eq!(c.retired(), 14, "ran ahead only window-many instructions");
@@ -406,7 +455,7 @@ mod tests {
         c.schedule_burst(300, 1);
         c.poll(0);
         let result =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.issue_burst(&[rid(0)])));
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.issue_burst(rid(0))));
         assert!(result.is_err(), "issuing early must panic");
     }
 
@@ -415,7 +464,7 @@ mod tests {
         let mut c = core();
         c.schedule_burst(3, 2);
         c.poll(1);
-        c.issue_burst(&[rid(0), rid(1)]);
+        c.issue_burst(rid(0));
         assert_eq!(c.misses_issued(), 2);
         assert!(!c.has_pending_burst());
         c.complete(rid(0));
@@ -423,12 +472,134 @@ mod tests {
         assert_eq!(c.misses_completed(), 1);
     }
 
+    /// Issues a `size`-miss burst with ids from `first` as soon as the
+    /// core reaches it.
+    fn issue_now(c: &mut Core, size: usize, first: u64) {
+        c.schedule_burst(1, size);
+        let CoreStatus::WillBurst { at } = c.poll(c.anchor_cycle) else {
+            panic!("burst blocked");
+        };
+        assert_eq!(c.poll(at), CoreStatus::WillBurst { at });
+        c.issue_burst(rid(first));
+    }
+
+    /// Three live bursts: ids 10..13, 20..22 and 30..34.
+    fn three_bursts() -> Core {
+        let mut c = Core::new(ThreadId::new(0), 1, 1024, 32);
+        issue_now(&mut c, 3, 10);
+        issue_now(&mut c, 2, 20);
+        issue_now(&mut c, 4, 30);
+        c
+    }
+
+    #[test]
+    fn out_of_order_completion_within_and_across_bursts() {
+        let mut c = three_bursts();
+        assert_eq!(c.outstanding(), 9);
+        for id in [32, 11, 21, 33, 10, 30, 20, 12, 31] {
+            c.complete(rid(id));
+        }
+        assert_eq!(c.outstanding(), 0);
+        assert!(c.bursts.is_empty(), "every drained burst was popped");
+        assert_eq!(c.window_limit(), u64::MAX);
+    }
+
+    #[test]
+    fn window_follows_the_oldest_live_burst() {
+        let mut c = three_bursts();
+        let front = c.window_limit();
+        for id in [11, 10] {
+            c.complete(rid(id));
+        }
+        assert_eq!(c.window_limit(), front, "burst 10.. still holds a miss");
+        c.complete(rid(12));
+        assert_eq!(c.window_limit(), front + 1, "front moved to burst 20..");
+    }
+
+    #[test]
+    fn drained_middle_burst_stays_until_it_reaches_the_front() {
+        let mut c = three_bursts();
+        c.complete(rid(20));
+        c.complete(rid(21));
+        assert_eq!(c.bursts.len(), 3, "a drained middle entry is not popped");
+        assert_eq!(c.outstanding(), 7);
+        for id in [10, 11, 12] {
+            c.complete(rid(id));
+        }
+        // Draining the front pops the drained middle entry too.
+        assert_eq!(c.bursts.len(), 1);
+        assert_eq!(c.bursts[0].first, 30);
+    }
+
+    #[test]
+    fn unknown_or_duplicate_ids_panic() {
+        let mut drained = three_bursts();
+        drained.complete(rid(20));
+        drained.complete(rid(21));
+        let cases: [(&str, Core, u64); 7] = [
+            ("below every burst", three_bursts(), 9),
+            ("between bursts", three_bursts(), 13),
+            ("past a burst's last id", three_bursts(), 22),
+            ("above every burst", three_bursts(), 34),
+            ("far above every burst", three_bursts(), 30 + 64),
+            ("in a drained middle burst", drained.clone(), 21),
+            ("duplicate", drained, 20),
+        ];
+        for (what, mut c, id) in cases {
+            let payload =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.complete(rid(id))))
+                    .expect_err(what);
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            assert_eq!(
+                message,
+                Some("completion for unknown request"),
+                "completing id {id} ({what})"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown request")]
+    fn completing_twice_panics() {
+        let mut c = three_bursts();
+        c.complete(rid(31));
+        c.complete(rid(31));
+    }
+
+    #[test]
+    #[should_panic(expected = "previous burst's ids")]
+    fn overlapping_burst_ids_panic() {
+        let mut c = three_bursts();
+        issue_now(&mut c, 1, 33);
+    }
+
+    #[test]
+    fn a_full_width_burst_tracks_every_miss() {
+        let mut c = Core::new(ThreadId::new(0), 1, 1024, 128);
+        issue_now(&mut c, MAX_BURST_SIZE, 1000);
+        for id in (1000..1000 + MAX_BURST_SIZE as u64).rev() {
+            c.complete(rid(id));
+        }
+        assert_eq!(c.outstanding(), 0);
+        assert!(c.bursts.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_BURST_SIZE")]
+    fn oversized_burst_panics() {
+        let mut c = Core::new(ThreadId::new(0), 1, 1024, 128);
+        c.schedule_burst(1, MAX_BURST_SIZE + 1);
+    }
+
     #[test]
     fn blocked_core_does_not_pass_window_even_with_long_poll_gaps() {
         let mut c = Core::new(ThreadId::new(0), 3, 16, 8);
         c.schedule_burst(2, 1);
         c.poll(1);
-        c.issue_burst(&[rid(0)]);
+        c.issue_burst(rid(0));
         c.schedule_burst(1000, 1);
         for t in [10u64, 100, 10_000] {
             c.poll(t);

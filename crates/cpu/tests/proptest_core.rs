@@ -44,7 +44,7 @@ proptest! {
                     next_id += 1;
                     outstanding.push((id, core.retired()));
                     issued_instr.push(core.retired());
-                    core.issue_burst(&[id]);
+                    core.issue_burst(id);
                     core.schedule_burst(*gap_iter.next().unwrap(), 1);
                 }
                 CoreStatus::WillBurst { at } => {
@@ -96,7 +96,7 @@ proptest! {
                 CoreStatus::WillBurst { at } if at <= now => {
                     let id = RequestId::new(next_id);
                     next_id += 1;
-                    core.issue_burst(&[id]);
+                    core.issue_burst(id);
                     pending.push(id);
                     core.schedule_burst(gap, 1);
                 }

@@ -45,6 +45,9 @@ struct BatchState {
     /// Ids of `queued`, kept index-parallel so the per-service removal
     /// scan walks 8-byte ids instead of 48-byte requests.
     queued_ids: Vec<RequestId>,
+    /// Scratch for `form_batch`: `(max bank load, total load, thread)`
+    /// of every thread with marked requests in the batch being formed.
+    loaded: Vec<(usize, usize, usize)>,
 }
 
 /// Parallelism-aware batch scheduler.
@@ -111,9 +114,10 @@ impl ParBs {
             )
         });
         // Walk each (thread, bank) run oldest-first and mark up to `cap`,
-        // accumulating per-thread marked load per bank for the ranking.
-        let mut max_load = vec![0usize; num_threads];
-        let mut total_load = vec![0usize; num_threads];
+        // accumulating each thread's marked load: the sort makes a
+        // thread's runs adjacent, so one entry per loaded thread is
+        // pushed, in ascending thread order.
+        state.loaded.clear();
         let mut start = 0;
         while start < state.queued.len() {
             let thread = state.queued[start].thread.index();
@@ -130,20 +134,39 @@ impl ParBs {
                 state.marked.insert(r.id);
             }
             if thread < num_threads {
-                max_load[thread] = max_load[thread].max(marked);
-                total_load[thread] += marked;
+                match state.loaded.last_mut() {
+                    Some((max, total, t)) if *t == thread => {
+                        *max = (*max).max(marked);
+                        *total += marked;
+                    }
+                    _ => state.loaded.push((marked, marked, thread)),
+                }
             }
             start = end;
         }
         // The sort reordered `queued`; rebuild the parallel id mirror.
         state.queued_ids.clear();
         state.queued_ids.extend(state.queued.iter().map(|r| r.id));
-        // Shortest job first: ascending (max load, total load).
-        let mut order: Vec<usize> = (0..num_threads).collect();
-        order.sort_by_key(|&t| (max_load[t], total_load[t]));
-        state.priority = vec![0; num_threads];
-        for (pos, &t) in order.iter().enumerate() {
+        // Shortest job first: rank threads by ascending (max load, total
+        // load), ties in thread order, and give position `pos` priority
+        // `num_threads - pos`. Threads without marked load share the
+        // minimal key (0, 0), so they come first, in thread order; every
+        // loaded thread has max load >= 1 and follows them.
+        state.priority.resize(num_threads, 0);
+        let mut pos = 0;
+        let mut loaded = state.loaded.iter().map(|&(_, _, t)| t).peekable();
+        for t in 0..num_threads {
+            if loaded.next_if_eq(&t).is_none() {
+                state.priority[t] = num_threads - pos;
+                pos += 1;
+            }
+        }
+        // Entries are unique (one per thread), so the unstable sort on
+        // the whole tuple is the stable (max, total) order of the rest.
+        state.loaded.sort_unstable();
+        for &(_, _, t) in &state.loaded {
             state.priority[t] = num_threads - pos;
+            pos += 1;
         }
     }
 }
@@ -198,6 +221,109 @@ impl Scheduler for ParBs {
 mod tests {
     use super::*;
     use crate::testutil::{ctx, req, req_at_bank};
+    use proptest::prelude::*;
+
+    /// The batch former before per-channel scratch and loaded-only
+    /// ranking, kept as the oracle for `form_batch`: per-thread load
+    /// arrays over all threads and a stable sort of every thread by
+    /// `(max load, total load)`. Returns the marked ids (sorted) and the
+    /// priorities.
+    fn reference_batch(
+        queued: &[Request],
+        cap: usize,
+        num_threads: usize,
+    ) -> (Vec<RequestId>, Vec<usize>) {
+        let mut queued = queued.to_vec();
+        queued.sort_by_key(|r| {
+            (
+                r.thread.index(),
+                r.addr.bank.index(),
+                r.issued_at,
+                r.id.raw(),
+            )
+        });
+        let mut marked = Vec::new();
+        let mut max_load = vec![0usize; num_threads];
+        let mut total_load = vec![0usize; num_threads];
+        let mut start = 0;
+        while start < queued.len() {
+            let thread = queued[start].thread.index();
+            let bank = queued[start].addr.bank.index();
+            let mut end = start + 1;
+            while end < queued.len()
+                && queued[end].thread.index() == thread
+                && queued[end].addr.bank.index() == bank
+            {
+                end += 1;
+            }
+            let count = (end - start).min(cap);
+            marked.extend(queued[start..start + count].iter().map(|r| r.id));
+            if thread < num_threads {
+                max_load[thread] = max_load[thread].max(count);
+                total_load[thread] += count;
+            }
+            start = end;
+        }
+        marked.sort_unstable();
+        let mut order: Vec<usize> = (0..num_threads).collect();
+        order.sort_by_key(|&t| (max_load[t], total_load[t]));
+        let mut priority = vec![0; num_threads];
+        for (pos, &t) in order.iter().enumerate() {
+            priority[t] = num_threads - pos;
+        }
+        (marked, priority)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `form_batch` marks the same requests and assigns the same
+        /// priorities as the reference, batch after batch on one
+        /// channel whose mirror is maintained through `on_enqueue` and
+        /// `on_service` (so stale scratch from an earlier batch would
+        /// show). Few banks and small queues make `(max, total)` ties
+        /// common; thread ids run past `num_threads`, whose load is not
+        /// ranked.
+        #[test]
+        fn form_batch_matches_reference(
+            num_threads in 1usize..8,
+            cap in 1usize..6,
+            rounds in proptest::collection::vec(
+                (proptest::collection::vec((0usize..10, 0usize..4, 0u64..6), 0..24), 0usize..12),
+                1..5,
+            ),
+        ) {
+            let mut s = ParBs::with_params(num_threads, ParBsParams { batch_cap: cap });
+            let mut model: Vec<Request> = Vec::new();
+            let mut next_id = 0u64;
+            for (arrivals, services) in rounds {
+                for (thread, bank, at) in arrivals {
+                    let r = req_at_bank(next_id, thread, bank, 0, at);
+                    next_id += 1;
+                    s.on_enqueue(&r, at);
+                    model.push(r);
+                }
+                for k in 0..services.min(model.len()) {
+                    let r = model.swap_remove(k * 7 % model.len());
+                    s.on_service(&outcome_for(&r), &[], 0);
+                }
+                let (want_marked, want_priority) = reference_batch(&model, cap, num_threads);
+                let state = s.state_mut(ChannelId::new(0));
+                ParBs::form_batch(state, cap, num_threads);
+                let mut marked: Vec<RequestId> = state.marked.iter().copied().collect();
+                marked.sort_unstable();
+                prop_assert_eq!(marked, want_marked);
+                prop_assert_eq!(&state.priority, &want_priority);
+                let ids: Vec<RequestId> = state.queued.iter().map(|r| r.id).collect();
+                prop_assert_eq!(&state.queued_ids, &ids);
+                let mut mirror = ids;
+                mirror.sort_unstable();
+                let mut want: Vec<RequestId> = model.iter().map(|r| r.id).collect();
+                want.sort_unstable();
+                prop_assert_eq!(mirror, want);
+            }
+        }
+    }
 
     fn outcome_for(r: &Request) -> ServiceOutcome {
         ServiceOutcome {

@@ -52,12 +52,19 @@ pub struct Stfm {
     t_shared: Vec<f64>,
     t_interference: Vec<f64>,
     completed: Vec<u64>,
-    /// Memoized `slowdown()` per thread, refreshed whenever that
-    /// thread's estimator inputs change. `slowdown_extremes` runs on
-    /// every pick; reading the cache avoids one division per thread per
-    /// pick (the cached value is the identical division result, so
-    /// decisions are bit-for-bit unchanged).
-    slowdowns: Vec<f64>,
+    /// Memoized `slowdown()` per thread for the maximum: the slowdown
+    /// of an active thread (one with a completed request), `f64::MIN`
+    /// for an inactive one. Refreshed whenever the thread's estimator
+    /// inputs change, so `slowdown_extremes`, which runs on every pick,
+    /// reduces plain arrays instead of testing activity per thread (the
+    /// cached value is the identical division result, so decisions are
+    /// bit-for-bit unchanged).
+    for_max: Vec<f64>,
+    /// As `for_max`, with `f64::MAX` for an inactive thread.
+    for_min: Vec<f64>,
+    /// Number of active threads. Activity never ends: `completed` is
+    /// not decayed.
+    active: usize,
     next_decay: Cycle,
 }
 
@@ -75,14 +82,20 @@ impl Stfm {
             t_shared: vec![0.0; num_threads],
             t_interference: vec![0.0; num_threads],
             completed: vec![0; num_threads],
-            slowdowns: vec![1.0; num_threads],
+            for_max: vec![f64::MIN; num_threads],
+            for_min: vec![f64::MAX; num_threads],
+            active: 0,
         }
     }
 
     /// Refreshes the memoized slowdown for thread `i` after its inputs
-    /// changed.
+    /// changed; inactive threads keep their sentinels.
     fn refresh_slowdown(&mut self, i: usize) {
-        self.slowdowns[i] = self.slowdown(ThreadId::new(i));
+        if self.completed[i] > 0 {
+            let s = self.slowdown(ThreadId::new(i));
+            self.for_max[i] = s;
+            self.for_min[i] = s;
+        }
     }
 
     /// Current slowdown estimate for `thread` (≥ 1).
@@ -96,27 +109,48 @@ impl Stfm {
         (shared / alone).max(1.0)
     }
 
-    /// `(max, min)` slowdown over threads with observed memory activity;
-    /// `None` when fewer than two threads are active.
+    /// `(max, min)` slowdown over threads with observed memory activity
+    /// and the first thread holding the max; `None` when fewer than two
+    /// threads are active.
+    ///
+    /// Slowdowns are never NaN (each is at least 1), and the max and min
+    /// of non-NaN values are exact in any order, so both reductions run
+    /// with four independent accumulators; the sentinels of inactive
+    /// threads never win. The first index equal to the max is the thread
+    /// a strict `>` scan in index order would pick.
     fn slowdown_extremes(&self) -> Option<(f64, ThreadId, f64)> {
-        let mut max = f64::MIN;
-        let mut max_thread = ThreadId::new(0);
-        let mut min = f64::MAX;
-        let mut active = 0;
-        for i in 0..self.t_shared.len() {
-            if self.completed[i] == 0 {
-                continue;
-            }
-            active += 1;
-            let s = self.slowdowns[i];
-            if s > max {
-                max = s;
-                max_thread = ThreadId::new(i);
-            }
-            min = min.min(s);
+        if self.active < 2 {
+            return None;
         }
-        (active >= 2).then_some((max, max_thread, min))
+        // Plain compare-and-select, not `f64::max`/`f64::min`: with no
+        // NaN to handle it lowers to packed max/min instructions.
+        let max = reduce4(&self.for_max, f64::MIN, |a, v| if v > a { v } else { a });
+        let min = reduce4(&self.for_min, f64::MAX, |a, v| if v < a { v } else { a });
+        let max_thread = self
+            .for_max
+            .iter()
+            .position(|&s| s == max)
+            .expect("an active thread holds the max");
+        Some((max, ThreadId::new(max_thread), min))
     }
+}
+
+/// Folds `values` with `op` through four independent accumulators, so
+/// consecutive steps do not wait on each other. Exact only for an
+/// associative and commutative `op` (such as max or min of non-NaN
+/// values).
+fn reduce4(values: &[f64], init: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+    let mut acc = [init; 4];
+    let chunks = values.chunks_exact(4);
+    for &v in chunks.remainder() {
+        acc[0] = op(acc[0], v);
+    }
+    for chunk in chunks {
+        for (a, &v) in acc.iter_mut().zip(chunk) {
+            *a = op(*a, v);
+        }
+    }
+    op(op(acc[0], acc[1]), op(acc[2], acc[3]))
 }
 
 impl Scheduler for Stfm {
@@ -163,6 +197,9 @@ impl Scheduler for Stfm {
         let i = req.thread.index();
         if let Some(t) = self.t_shared.get_mut(i) {
             *t += (now - req.issued_at) as f64;
+            if self.completed[i] == 0 {
+                self.active += 1;
+            }
             self.completed[i] += 1;
             self.refresh_slowdown(i);
         }
@@ -180,7 +217,7 @@ impl Scheduler for Stfm {
         for t in &mut self.t_interference {
             *t *= 0.5;
         }
-        for i in 0..self.slowdowns.len() {
+        for i in 0..self.completed.len() {
             self.refresh_slowdown(i);
         }
         self.next_decay = now + self.params.interval_length;
@@ -192,7 +229,98 @@ impl Scheduler for Stfm {
 mod tests {
     use super::*;
     use crate::testutil::{ctx, req};
+    use proptest::prelude::*;
     use tcm_types::{BankId, ChannelId, MemAddress, RequestId, Row};
+
+    /// The extremes scan before the sentinel arrays, kept as the oracle
+    /// for `slowdown_extremes`: one branchy pass in thread order over
+    /// the active threads, the max thread taken by strict `>`.
+    fn reference_extremes(completed: &[u64], slowdowns: &[f64]) -> Option<(f64, ThreadId, f64)> {
+        let mut max = f64::MIN;
+        let mut max_thread = ThreadId::new(0);
+        let mut min = f64::MAX;
+        let mut active = 0;
+        for i in 0..completed.len() {
+            if completed[i] == 0 {
+                continue;
+            }
+            active += 1;
+            let s = slowdowns[i];
+            if s > max {
+                max = s;
+                max_thread = ThreadId::new(i);
+            }
+            min = min.min(s);
+        }
+        (active >= 2).then_some((max, max_thread, min))
+    }
+
+    /// `reference_extremes` over the estimator's current state.
+    fn reference_for(s: &Stfm) -> Option<(f64, ThreadId, f64)> {
+        let slowdowns: Vec<f64> = (0..s.completed.len())
+            .map(|i| s.slowdown(ThreadId::new(i)))
+            .collect();
+        reference_extremes(&s.completed, &slowdowns)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// After every estimator update (completions, interference,
+        /// decay) the extremes equal the reference scan's. Latencies and
+        /// bank-busy times come from small sets, and threads without
+        /// interference sit at slowdown 1, so ties are common; runs
+        /// start with no active thread and often keep fewer than two.
+        #[test]
+        fn extremes_match_reference(
+            num_threads in 1usize..30,
+            events in proptest::collection::vec((0u8..4, 0usize..32, 0u64..4), 0..80),
+        ) {
+            let mut s = Stfm::new(num_threads);
+            prop_assert_eq!(s.slowdown_extremes(), reference_for(&s));
+            let mut now = 1000;
+            for (kind, thread, size) in events {
+                let thread = thread % num_threads;
+                match kind {
+                    0 | 1 => s.on_complete(&req(0, thread, 0, now - 100 * (size + 1)), now),
+                    2 => {
+                        let other = (thread + 1) % num_threads;
+                        let waiting = vec![req(1, thread, 0, now), req(2, other, 0, now)];
+                        s.on_service(&outcome(other, 50 * (size + 1)), &waiting, now);
+                    }
+                    _ => s.tick(now, &SystemView { retired: &[], misses: &[], service: &[] }),
+                }
+                now += 10;
+                prop_assert_eq!(s.slowdown_extremes(), reference_for(&s));
+            }
+        }
+
+        /// The sentinel-array reduction equals the reference on arbitrary
+        /// slowdown vectors: exact ties at the max and the min, inactive
+        /// threads holding the largest and smallest values, and fewer
+        /// than two active threads.
+        #[test]
+        fn reduction_matches_reference_on_ties(
+            values in proptest::collection::vec((0u64..3, 0usize..4), 0..30),
+        ) {
+            let n = values.len();
+            let mut s = Stfm::new(n);
+            let mut slowdowns = vec![0.0; n];
+            for (i, &(done, level)) in values.iter().enumerate() {
+                // Levels 0 and 3 are the extremes; inactive threads get
+                // them as often as active ones do.
+                let v = [1.0, 1.5, 2.25, 9.0][level];
+                slowdowns[i] = v;
+                s.completed[i] = done;
+                if done > 0 {
+                    s.active += 1;
+                    s.for_max[i] = v;
+                    s.for_min[i] = v;
+                }
+            }
+            prop_assert_eq!(s.slowdown_extremes(), reference_extremes(&s.completed, &slowdowns));
+        }
+    }
 
     fn outcome(thread: usize, busy: u64) -> ServiceOutcome {
         ServiceOutcome {

@@ -346,10 +346,12 @@ mod tests {
 
     #[test]
     fn ties_across_lanes_and_heap_pop_in_insertion_order() {
+        // Every kind of event at one cycle shares that cycle's wheel
+        // slot, which pops in push order.
         let mut q = EventQueue::new();
-        q.push(5, completion(1, 100)); // lane: channel 1
-        q.push(5, Event::SchedTick); // heap
-        q.push(5, completion(0, 101)); // lane: channel 0
+        q.push(5, completion(1, 100)); // channel 1's completion
+        q.push(5, Event::SchedTick);
+        q.push(5, completion(0, 101)); // channel 0's completion
         q.push(
             5,
             Event::BankReady { channel: ChannelId::new(1), bank: BankId::new(3) },
@@ -369,7 +371,7 @@ mod tests {
     fn non_monotone_lane_push_falls_back_to_heap() {
         let mut q = EventQueue::new();
         q.push(50, completion(0, 1));
-        q.push(40, completion(0, 2)); // violates lane order: heap fallback
+        q.push(40, completion(0, 2)); // earlier than the last push: own slot
         q.push(50, completion(0, 3));
         let order: Vec<(Cycle, u64)> = std::iter::from_fn(|| q.pop())
             .map(|(c, e)| match e {

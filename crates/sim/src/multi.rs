@@ -330,7 +330,6 @@ pub struct MultiSystem {
     window: Cycle,
     /// Host threads for the controller phase (1 = inline).
     hosts: usize,
-    scratch_ids: Vec<RequestId>,
     telemetry: Telemetry,
     /// Armed spill-flood fault: at its cycle, phantom requests are routed
     /// to the owning shard until its spill queue outgrows the bound.
@@ -470,7 +469,6 @@ impl MultiSystem {
             meta,
             window: cfg.timing.round_trip(RowState::Hit),
             hosts: 1,
-            scratch_ids: Vec::new(),
             telemetry: Telemetry::disabled(),
             chaos_flood: None,
             chaos_coordination: Vec::new(),
@@ -701,22 +699,20 @@ impl MultiSystem {
         self.shards[shard].inbox.push((cycle, msg));
     }
 
-    /// Injects thread `t`'s pending burst: requests are routed to their
-    /// owning shards as arrivals at the current cycle.
+    /// Injects thread `t`'s pending burst: requests take consecutive
+    /// ids and are routed to their owning shards as arrivals at the
+    /// current cycle.
     fn inject_burst(&mut self, t: usize) {
         let accesses = std::mem::take(&mut self.pending_accesses[t]);
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
+        let first = RequestId::new(self.next_request_id);
         for addr in &accesses {
             let id = RequestId::new(self.next_request_id);
             self.next_request_id += 1;
-            ids.push(id);
             let request = Request::new(id, ThreadId::new(t), *addr, self.now);
             self.route(self.now, request, ShardMsg::Arrival(request));
         }
-        self.cores[t].issue_burst(&ids);
-        self.injected += ids.len() as u64;
-        self.scratch_ids = ids;
+        self.cores[t].issue_burst(first);
+        self.injected += accesses.len() as u64;
         self.pending_accesses[t] = accesses;
         self.arm_next_burst(t);
         self.poll_core(t);

@@ -146,8 +146,6 @@ pub struct System {
     /// (reused across `schedule_idle_banks` calls, never allocated per
     /// decision).
     scratch_banks: Vec<BankId>,
-    /// Scratch: request ids of the burst currently being injected.
-    scratch_ids: Vec<RequestId>,
     /// Scratch: per-channel "this burst touched it" flags (reused, reset
     /// after each injection).
     touched_channels: Vec<bool>,
@@ -257,7 +255,6 @@ impl System {
             stall_probe_at: DEFAULT_STALL_LIMIT,
             verify_armed: false,
             scratch_banks: Vec::with_capacity(cfg.banks_per_channel),
-            scratch_ids: Vec::new(),
             touched_channels: vec![false; cfg.num_channels()],
             scratch_retired: Vec::new(),
             scratch_misses: Vec::new(),
@@ -493,24 +490,20 @@ impl System {
     }
 
     /// Injects thread `t`'s pending burst into the memory system. The
-    /// burst buffer and the id staging both live on `self` and are
-    /// reused; the only allocation left on this path is the event-queue
-    /// push.
+    /// burst's requests take consecutive ids, so the core is handed the
+    /// first one; the burst buffer lives on `self` and is reused.
     fn inject_burst(&mut self, t: usize) {
         let accesses = std::mem::take(&mut self.pending_accesses[t]);
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        ids.clear();
+        let first = RequestId::new(self.next_request_id);
         for addr in &accesses {
             let id = RequestId::new(self.next_request_id);
             self.next_request_id += 1;
-            ids.push(id);
             let request = Request::new(id, ThreadId::new(t), *addr, self.now);
             self.admit(request);
             self.touched_channels[addr.channel.index()] = true;
         }
-        self.cores[t].issue_burst(&ids);
-        self.injected += ids.len() as u64;
-        self.scratch_ids = ids;
+        self.cores[t].issue_burst(first);
+        self.injected += accesses.len() as u64;
         // Hand the (drained) buffer back so arm_next_burst refills it in
         // place.
         self.pending_accesses[t] = accesses;

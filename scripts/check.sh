@@ -32,6 +32,13 @@ cargo clippy -p tcm-bench --benches --features bench-harness --offline -- -D war
 echo "==> cargo test --release with the protocol checker forced on"
 TCM_VERIFY=1 cargo test -q --release --offline -p tcm-sim -p tcm-dram
 
+# The goldens in the build the benchmark measures: the fat-LTO release
+# profile, with the protocol checker on. Speed work on the per-request
+# kernels must hold every fingerprint in this build too, not only in
+# the debug build of the workspace test leg.
+echo "==> release-build goldens (tests/golden_fingerprints.rs)"
+TCM_VERIFY=1 cargo test --release --offline --test golden_fingerprints
+
 # Fault-injection smoke: every chaos fault class at a fixed seed must be
 # caught by exactly its mapped detector, and the zero-fault control must
 # finish clean and bit-identical to a run without the chaos layer.
